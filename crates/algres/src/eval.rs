@@ -7,6 +7,7 @@
 //! tables built for `Join`/`SemiJoin`/`AntiJoin` right sides. The one-shot
 //! [`eval`] wrapper keeps the original convenience API.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -90,7 +91,7 @@ struct JoinTable {
     left_cols: Vec<Sym>,
     shared: Vec<Sym>,
     right_only: Vec<Sym>,
-    rows: FxHashMap<Vec<Value>, Vec<Value>>,
+    rows: FxHashMap<Vec<Value>, Vec<Arc<Value>>>,
 }
 
 /// A materialized key set for a `SemiJoin`/`AntiJoin` right side.
@@ -322,9 +323,9 @@ impl<'a> Evaluator<'a> {
             AlgExpr::Select { input, pred } => {
                 let (rel, dep) = self.eval_dep(input)?;
                 let mut out = Relation::new(rel.cols().to_vec());
-                for t in rel.iter() {
+                for t in rel.iter_shared() {
                     if eval_pred(pred, t)? {
-                        out.insert(t.clone());
+                        out.insert_shared(Arc::clone(t));
                     }
                 }
                 Ok((out, dep))
@@ -427,10 +428,7 @@ impl<'a> Evaluator<'a> {
                 let (r, rdep) = self.eval_dep(right)?;
                 check_same_cols(&l, &r)?;
                 let mut out = l;
-                // Align field order by reconstructing through labels.
-                for t in r.iter() {
-                    out.insert(t.clone());
-                }
+                out.extend_from(&r);
                 Ok((out, ldep || rdep))
             }
             AlgExpr::Diff { left, right } => {
@@ -438,9 +436,9 @@ impl<'a> Evaluator<'a> {
                 let (r, rdep) = self.eval_dep(right)?;
                 check_same_cols(&l, &r)?;
                 let mut out = Relation::new(l.cols().to_vec());
-                for t in l.iter() {
+                for t in l.iter_shared() {
                     if !r.contains(t) {
-                        out.insert(t.clone());
+                        out.insert_shared(Arc::clone(t));
                     }
                 }
                 Ok((out, ldep || rdep))
@@ -450,9 +448,9 @@ impl<'a> Evaluator<'a> {
                 let (r, rdep) = self.eval_dep(right)?;
                 check_same_cols(&l, &r)?;
                 let mut out = Relation::new(l.cols().to_vec());
-                for t in l.iter() {
+                for t in l.iter_shared() {
                     if r.contains(t) {
-                        out.insert(t.clone());
+                        out.insert_shared(Arc::clone(t));
                     }
                 }
                 Ok((out, ldep || rdep))
@@ -695,6 +693,9 @@ impl<'a> Evaluator<'a> {
             self.overlay.insert(rec, acc.clone());
             self.stats.rounds += 1;
             let (new, _) = self.eval_dep(step)?;
+            // Drop the overlay's handle on `acc` so the extend below writes
+            // in place instead of copying the shared body.
+            self.overlay.remove(&rec);
             if acc.extend_from(&new) == 0 {
                 return Ok(acc);
             }
@@ -720,9 +721,9 @@ impl<'a> Evaluator<'a> {
             self.stats.rounds += 1;
             let (derived, _) = self.eval_dep(step)?;
             let mut fresh = Relation::new(acc.cols().to_vec());
-            for t in derived.iter() {
+            for t in derived.iter_shared() {
                 if !acc.contains(t) {
-                    fresh.insert(t.clone());
+                    fresh.insert_shared(Arc::clone(t));
                 }
             }
             acc.extend_from(&fresh);
@@ -821,11 +822,11 @@ fn build_join_table(l: &Relation, r: &Relation) -> JoinTable {
         .filter(|c| !l.has_col(**c))
         .copied()
         .collect();
-    let mut rows: FxHashMap<Vec<Value>, Vec<Value>> = FxHashMap::default();
-    for rt in r.iter() {
+    let mut rows: FxHashMap<Vec<Value>, Vec<Arc<Value>>> = FxHashMap::default();
+    for rt in r.iter_shared() {
         rows.entry(join_key(rt, &shared))
             .or_default()
-            .push(rt.clone());
+            .push(Arc::clone(rt));
     }
     JoinTable {
         left_cols: l.cols().to_vec(),
@@ -1014,7 +1015,7 @@ fn build_key_table(l: &Relation, r: &Relation) -> KeyTable {
 fn probe_key_table(table: &KeyTable, l: &Relation, keep_matches: bool) -> (Relation, u64) {
     let mut out = Relation::new(table.left_cols.clone());
     let mut probes = 0u64;
-    for t in l.iter() {
+    for t in l.iter_shared() {
         probes += 1;
         // With no shared columns the right side acts as an existence test on
         // its emptiness.
@@ -1024,7 +1025,7 @@ fn probe_key_table(table: &KeyTable, l: &Relation, keep_matches: bool) -> (Relat
             table.keys.contains(&join_key(t, &table.shared))
         };
         if matched == keep_matches {
-            out.insert(t.clone());
+            out.insert_shared(Arc::clone(t));
         }
     }
     (out, probes)

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use logres_engine::{
-    answer_goal, evaluate, load_facts, maintain, Derivation, EvalOptions, EvalReport,
+    answer_goal, evaluate, load_owned_facts, maintain, Derivation, EvalOptions, EvalReport,
     MetricsRegistry, Semantics,
 };
 use logres_lang::{parse_program, AnalysisInput, Atom, Diagnostic, Rule, RuleSet};
@@ -77,7 +77,7 @@ impl Database {
         logres_lang::check_program(&program).map_err(CoreError::Lang)?;
         let mut edb = Instance::new();
         let mut gen = logres_model::OidGen::new();
-        load_facts(&program.schema, &mut edb, &program.facts, &mut gen)
+        load_owned_facts(&program.schema, &mut edb, program.facts, &mut gen)
             .map_err(CoreError::Engine)?;
         Ok(Database {
             state: DatabaseState {

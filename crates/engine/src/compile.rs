@@ -12,6 +12,8 @@ use logres_lang::{Atom, BinOp, Builtin, PredArg, Rule, RuleSet, Term};
 use logres_model::{Instance, PredKind, Schema, Sym, TypeDesc, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
+use std::sync::Arc;
+
 use crate::error::EngineError;
 
 /// The visible tuple type of a predicate (classes: effective type;
@@ -41,8 +43,8 @@ impl CompiledRules {
         let mut out = edb.clone();
         for (pred, expr) in &self.exprs {
             let rel = eval(expr, &env)?;
-            for t in rel.iter() {
-                out.insert_assoc(*pred, t.clone());
+            for t in rel.iter_shared() {
+                out.insert_assoc_shared(*pred, Arc::clone(t));
             }
             // Later predicates (and re-binding) see base ∪ derived.
             let mut combined =
@@ -68,11 +70,10 @@ pub fn env_from_instance(schema: &Schema, inst: &Instance) -> Env {
 pub(crate) fn relation_of(schema: &Schema, inst: &Instance, assoc: Sym) -> Option<Relation> {
     let ty = schema.expand(schema.assoc_type(assoc)?);
     let cols: Vec<Sym> = ty.as_tuple()?.iter().map(|f| f.label).collect();
-    let mut rel = Relation::new(cols);
-    for t in inst.tuples_of(assoc) {
-        rel.insert(t.clone());
-    }
-    Some(rel)
+    Some(Relation::from_shared(
+        cols,
+        inst.tuples_shared(assoc).cloned(),
+    ))
 }
 
 /// Compile a rule set. Errors with [`EngineError::UnsupportedFragment`]

@@ -22,6 +22,8 @@ use logres_lang::{Atom, PredArg, Rule, RuleSet};
 use logres_model::{Fact, Instance, Oid, OidGen, PredKind, Schema, Sym, TypeDesc, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
+use std::sync::Arc;
+
 use crate::binding::{as_oid_like, eval_term, normalize_arg, self_label, strip_self, Subst};
 use crate::error::EngineError;
 use crate::governor::CancelToken;
@@ -270,8 +272,8 @@ impl<'a> OneStep<'a> {
     }
 
     /// Apply `F' = ((F ⊕ Δ⁺) − Δ⁻) ⊕ (F ∩ Δ⁺ ∩ Δ⁻)`. Returns whether
-    /// anything changed.
-    pub fn apply(&self, inst: &mut Instance, deltas: &DeltaSets) -> bool {
+    /// anything changed. The `Δ⁺` facts are moved into `inst`, not copied.
+    pub fn apply(&self, inst: &mut Instance, deltas: DeltaSets) -> bool {
         // F ∩ Δ⁺ ∩ Δ⁻, captured before mutation.
         let minus_set: FxHashSet<&Fact> = deltas.minus.iter().collect();
         let protected: Vec<Fact> = deltas
@@ -282,8 +284,8 @@ impl<'a> OneStep<'a> {
             .collect();
 
         let mut changed = false;
-        for f in &deltas.plus {
-            changed |= inst.insert_fact(self.schema, f);
+        for f in deltas.plus {
+            changed |= insert_derived(self.schema, inst, None, f).is_some();
         }
         for f in &deltas.minus {
             changed |= inst.remove_fact(self.schema, f);
@@ -661,6 +663,34 @@ fn coerce_value(schema: &Schema, v: Value, ty: &TypeDesc) -> Value {
     }
 }
 
+/// Move a derived fact into `total`. A new association tuple is stored once,
+/// behind a shared handle that `delta` (when given) receives as well, so the
+/// two instances share one tuple instead of each holding a copy. Returns the
+/// fact's [`fact_nodes`] count when `total` changed.
+pub(crate) fn insert_derived(
+    schema: &Schema,
+    total: &mut Instance,
+    delta: Option<&mut Instance>,
+    fact: Fact,
+) -> Option<usize> {
+    match fact {
+        Fact::Assoc { assoc, tuple } => {
+            let tuple = Arc::new(tuple);
+            if !total.insert_assoc_shared(assoc, Arc::clone(&tuple)) {
+                return None;
+            }
+            let nodes = tuple.node_count();
+            if let Some(delta) = delta {
+                delta.insert_assoc_shared(assoc, tuple);
+            }
+            Some(nodes)
+        }
+        other => total
+            .insert_fact(schema, &other)
+            .then(|| fact_nodes(&other)),
+    }
+}
+
 /// Value-node footprint of one fact — what the governor's memory budget
 /// charges (class facts add one node for the oid itself).
 pub(crate) fn fact_nodes(f: &Fact) -> usize {
@@ -726,7 +756,7 @@ mod tests {
         let d1 = step.deltas(&inst).unwrap();
         assert_eq!(d1.plus.len(), 1);
         let mut next = inst.clone();
-        assert!(step.apply(&mut next, &d1));
+        assert!(step.apply(&mut next, d1));
         // Second step: the head is satisfied, VD blocks refiring.
         let d2 = step.deltas(&next).unwrap();
         assert!(d2.is_empty());
@@ -749,7 +779,7 @@ mod tests {
         let d = step.deltas(&inst).unwrap();
         assert_eq!(d.minus.len(), 1);
         let mut next = inst.clone();
-        step.apply(&mut next, &d);
+        step.apply(&mut next, d);
         assert_eq!(next.assoc_len(Sym::new("p")), 1);
         // Re-running: nothing left to delete.
         let d2 = step.deltas(&next).unwrap();
@@ -780,7 +810,7 @@ mod tests {
         assert!(d.plus.is_empty());
         assert_eq!(d.minus.len(), 1);
         let mut next = inst.clone();
-        step.apply(&mut next, &d);
+        step.apply(&mut next, d);
         assert_eq!(next.assoc_len(Sym::new("p")), 0);
     }
 
@@ -804,7 +834,7 @@ mod tests {
         let d = step.deltas(&inst).unwrap();
         assert_eq!(d.plus.len(), 2);
         let mut next = inst.clone();
-        step.apply(&mut next, &d);
+        step.apply(&mut next, d);
         assert_eq!(next.class_len(Sym::new("ip")), 2);
         // Refiring invents nothing: existing objects satisfy the head.
         let d2 = step.deltas(&next).unwrap();
@@ -879,7 +909,7 @@ mod tests {
         let d = step.deltas(&inst).unwrap();
         assert_eq!(d.minus.len(), 2);
         let mut next = inst.clone();
-        step.apply(&mut next, &d);
+        step.apply(&mut next, d);
         assert_eq!(next.assoc_len(Sym::new("p")), 1);
     }
 
@@ -903,7 +933,7 @@ mod tests {
         let d = step.deltas(&inst).unwrap();
         assert_eq!(d.plus.len(), 1);
         let mut next = inst.clone();
-        step.apply(&mut next, &d);
+        step.apply(&mut next, d);
         assert!(next.fun_contains(Sym::new("children"), &[Value::str("a")], &Value::str("b")));
     }
 }

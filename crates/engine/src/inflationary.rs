@@ -269,32 +269,34 @@ pub(crate) fn evaluate_inflationary_stratum(
                 partial: Box::new(report),
             });
         }
-        let before = inst.clone();
-        let apply_start = Instant::now();
-        step.apply(&mut inst, &deltas);
-        let apply_nanos = apply_start.elapsed().as_nanos() as u64;
-        if let Some(m) = &em {
-            m.step_apply_ms.observe(apply_nanos / 1_000_000);
-        }
-        report.iterations.push(IterationStats {
+        let mut stats = IterationStats {
             firings: deltas.firings,
             derived: deltas.plus.len(),
             deleted: deltas.minus.len(),
             invented: deltas.per_rule.iter().map(|s| s.invented).sum(),
             match_nanos,
-            apply_nanos,
-        });
-        if !deltas.minus.is_empty() {
+            apply_nanos: 0,
+        };
+        let before = inst.clone();
+        let apply_start = Instant::now();
+        step.apply(&mut inst, deltas);
+        let apply_nanos = apply_start.elapsed().as_nanos() as u64;
+        stats.apply_nanos = apply_nanos;
+        if let Some(m) = &em {
+            m.step_apply_ms.observe(apply_nanos / 1_000_000);
+        }
+        report.iterations.push(stats);
+        if stats.deleted > 0 {
             trace::emit(tracer, || TraceEvent::Deletion {
                 step: i,
-                count: deltas.minus.len(),
+                count: stats.deleted,
             });
         }
         trace::emit(tracer, || TraceEvent::StepEnd {
             step: i,
-            firings: deltas.firings,
-            derived: deltas.plus.len(),
-            deleted: deltas.minus.len(),
+            firings: stats.firings,
+            derived: stats.derived,
+            deleted: stats.deleted,
             facts: inst.fact_count(),
             match_nanos,
             apply_nanos,

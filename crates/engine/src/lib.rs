@@ -71,7 +71,7 @@ pub use governor::{CancelCause, CancelToken, Governor};
 pub use inflationary::{
     evaluate_inflationary, EvalOptions, EvalReport, IterationStats, RuleProfile,
 };
-pub use load::load_facts;
+pub use load::{load_facts, load_owned_facts};
 pub use magic::{answer_goal_demand, evaluate_demand};
 pub use maintain::{
     apply_batch, apply_update, batch_conflicts, is_ground_batch_rule, maintainable, note_fallback,

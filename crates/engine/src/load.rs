@@ -17,16 +17,27 @@ pub fn load_facts(
     facts: &[GroundFact],
     gen: &mut OidGen,
 ) -> Result<usize, EngineError> {
+    load_owned_facts(schema, inst, facts.iter().cloned(), gen)
+}
+
+/// [`load_facts`] for facts the caller no longer needs: their values move
+/// into the instance instead of being copied.
+pub fn load_owned_facts(
+    schema: &Schema,
+    inst: &mut Instance,
+    facts: impl IntoIterator<Item = GroundFact>,
+    gen: &mut OidGen,
+) -> Result<usize, EngineError> {
     let mut n = 0;
     for f in facts {
         match schema.kind(f.pred) {
             Some(PredKind::Class) => {
                 let oid = gen.fresh();
-                inst.insert_object(schema, f.pred, oid, Value::tuple(f.args.clone()));
+                inst.insert_object(schema, f.pred, oid, Value::tuple(f.args));
                 n += 1;
             }
             Some(PredKind::Assoc) => {
-                if inst.insert_assoc(f.pred, Value::tuple(f.args.clone())) {
+                if inst.insert_assoc(f.pred, Value::tuple(f.args)) {
                     n += 1;
                 }
             }

@@ -39,7 +39,7 @@ use logres_model::{Fact, Instance, PredKind, Schema, Sym, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::binding::{match_term, Subst};
-use crate::delta::{fact_nodes, instantiate_head, InventionMemo};
+use crate::delta::{insert_derived, instantiate_head, InventionMemo};
 use crate::error::EngineError;
 use crate::governor::Governor;
 use crate::inflationary::{EvalOptions, EvalReport, RuleProfile};
@@ -962,12 +962,11 @@ pub fn apply_update(
                         premises_of(schema, &view.inst, rule, &theta)
                     };
                     for fact in facts {
-                        if view.inst.insert_fact(schema, &fact) {
+                        if insert_derived(schema, &mut view.inst, Some(&mut delta), fact.clone())
+                            .is_some()
+                        {
                             view.record(fact.clone(), idx, premises.clone());
                             tallies.derived[idx] += 1;
-                            if let Fact::Assoc { assoc, tuple } = &fact {
-                                delta.insert_assoc(*assoc, tuple.clone());
-                            }
                             delta_plus.push(fact.clone());
                             added.push(fact);
                         }
@@ -1155,13 +1154,12 @@ fn run_delta_rounds(
                     premises_of(schema, &view.inst, rule, &theta)
                 };
                 for fact in facts {
-                    if view.inst.insert_fact(schema, &fact) {
-                        round_nodes += fact_nodes(&fact);
+                    if let Some(nodes) =
+                        insert_derived(schema, &mut view.inst, Some(&mut next_delta), fact.clone())
+                    {
+                        round_nodes += nodes;
                         view.record(fact.clone(), idx, premises.clone());
                         tallies.derived[idx] += 1;
-                        if let Fact::Assoc { assoc, tuple } = &fact {
-                            next_delta.insert_assoc(*assoc, tuple.clone());
-                        }
                         if over_set.is_some_and(|s| s.contains(&fact)) {
                             *rederived_total += 1;
                         } else {

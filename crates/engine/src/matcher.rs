@@ -288,8 +288,7 @@ pub fn match_pred(
                         }
                         PredArg::Labeled(l, t) => match view.field(*l) {
                             Some(fv) => {
-                                let fv = fv.clone();
-                                if !match_term(t, &fv, &mut s, src) {
+                                if !match_term(t, fv, &mut s, src) {
                                     ok = false;
                                     break;
                                 }
@@ -328,8 +327,7 @@ pub fn match_pred(
                         }
                         PredArg::Labeled(l, t) => match tuple.field(*l) {
                             Some(fv) => {
-                                let fv = fv.clone();
-                                if !match_term(t, &fv, &mut s, src) {
+                                if !match_term(t, fv, &mut s, src) {
                                     ok = false;
                                     break;
                                 }

@@ -29,16 +29,17 @@
 //! `EvalOptions::threads` setting, which keeps the thread-count determinism
 //! contract of the interpreted engines trivially true here.
 
-use algres::{AlgExpr, EvalStats, Evaluator, Relation};
+use algres::{AlgExpr, Env, EvalStats, Evaluator, Relation};
 use logres_lang::analyze::{infer, seeds_from_instance, Card, FlowSummaries};
 use logres_lang::{stratify, Atom, Rule, RuleSet, Stratification};
 use logres_model::{Instance, Schema, Sym};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::compile::{compile_rule_plan_with, env_from_instance, relation_of, FlowHints};
+use crate::compile::{compile_rule_plan_with, relation_of, FlowHints};
 use crate::error::EngineError;
 use crate::explain::{self, MaterializeStats};
 use crate::governor::Governor;
@@ -325,6 +326,31 @@ fn assoc_cols(schema: &Schema, assoc: Sym) -> Option<Vec<Sym>> {
     Some(ty.as_tuple()?.iter().map(|f| f.label).collect())
 }
 
+/// The stable environment of one stratum: a relation for every association
+/// its plans scan but do not derive (extensional and lower-stratum
+/// relations), built from handles into `inst`. Relations the stratum never
+/// reads are not built at all; its own predicates and their `@delta_*`
+/// relations are bound as volatile by the caller.
+fn stratum_env(schema: &Schema, splan: &StratumPlan, inst: &Instance) -> Env {
+    let mut env = Env::new();
+    let mut stack: Vec<&AlgExpr> = splan
+        .steps
+        .iter()
+        .flat_map(|s| std::iter::once(&s.full).chain(&s.deltas))
+        .collect();
+    while let Some(e) = stack.pop() {
+        if let AlgExpr::Rel(name) = e {
+            if !splan.idb.contains(name) && env.get(*name).is_none() {
+                if let Some(rel) = relation_of(schema, inst, *name) {
+                    env.bind(*name, rel);
+                }
+            }
+        }
+        stack.extend(e.children());
+    }
+    env
+}
+
 /// Try the compiled fast path. `None` means the program (or the options)
 /// fell outside the fragment — the fallback has already been counted and
 /// traced, and the caller should run the interpreter.
@@ -399,7 +425,7 @@ pub fn run_compiled(
     let mut rule_stats = vec![EvalStats::default(); rules.rules.len()];
     let mut profile = opts.profile.then(explain::PlanProfile::default);
     for splan in &program.strata {
-        let env = env_from_instance(schema, &total);
+        let env = stratum_env(schema, splan, &total);
         let mut ev = Evaluator::new(&env);
         if opts.profile {
             ev.enable_profiling();
@@ -465,8 +491,10 @@ pub fn run_compiled(
                     per_rule[step.rule_index].firings += rel.len();
                     let insert_start = opts.profile.then(Instant::now);
                     let mut inserted = 0u64;
-                    for t in rel.iter() {
-                        if total.insert_assoc(step.head, t.clone()) {
+                    // One handle per derived tuple, shared by the instance,
+                    // the next delta and (after the round) the overlay.
+                    for t in rel.iter_shared() {
+                        if total.insert_assoc_shared(step.head, Arc::clone(t)) {
                             inserted += 1;
                             stats.derived += 1;
                             per_rule[step.rule_index].derived += 1;
@@ -474,7 +502,7 @@ pub fn run_compiled(
                             new_delta
                                 .get_mut(&step.head)
                                 .expect("head in stratum idb")
-                                .insert(t.clone());
+                                .insert_shared(Arc::clone(t));
                         }
                     }
                     if let Some(start) = insert_start {
@@ -549,11 +577,14 @@ pub fn run_compiled(
             let mut progressed = false;
             for &p in &splan.idb {
                 let nd = new_delta.remove(&p).expect("idb delta present");
+                // Rebind the delta first: the previous delta may share its
+                // body with `p` (round 0), and dropping it lets the extend
+                // below write `p` in place.
+                ev.bind(delta_sym(p), nd.clone());
                 if !nd.is_empty() {
                     progressed = true;
                     ev.extend_binding(p, &nd);
                 }
-                ev.bind(delta_sym(p), nd);
             }
             use_delta = true;
             if !progressed {

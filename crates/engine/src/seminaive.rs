@@ -14,13 +14,13 @@
 //! E1).
 
 use logres_lang::{Atom, PredArg, Rule, RuleSet};
-use logres_model::{Fact, Instance, PredKind, Schema, Sym};
+use logres_model::{Instance, PredKind, Schema, Sym};
 use rustc_hash::FxHashSet;
 
 use std::time::Instant;
 
 use crate::binding::Subst;
-use crate::delta::{instantiate_head, InventionMemo};
+use crate::delta::{insert_derived, instantiate_head, InventionMemo};
 use crate::error::EngineError;
 use crate::governor::Governor;
 use crate::inflationary::{EvalOptions, EvalReport, IterationStats};
@@ -168,15 +168,13 @@ pub fn evaluate_seminaive(
                 Vec::new()
             };
             for fact in facts {
-                if total.insert_fact(schema, &fact) {
+                let recorded = prov.is_some().then(|| fact.clone());
+                if let Some(nodes) = insert_derived(schema, &mut total, Some(&mut delta), fact) {
                     stats.derived += 1;
                     per_rule[idx].derived += 1;
-                    round_nodes += crate::delta::fact_nodes(&fact);
-                    if let Some(p) = prov.as_mut() {
-                        p.record(fact.clone(), idx, 0, premises.clone());
-                    }
-                    if let Fact::Assoc { assoc, tuple } = &fact {
-                        delta.insert_assoc(*assoc, tuple.clone());
+                    round_nodes += nodes;
+                    if let (Some(p), Some(fact)) = (prov.as_mut(), recorded) {
+                        p.record(fact, idx, 0, premises.clone());
                     }
                 }
             }
@@ -314,15 +312,15 @@ pub fn evaluate_seminaive(
                     Vec::new()
                 };
                 for fact in facts {
-                    if total.insert_fact(schema, &fact) {
+                    let recorded = prov.is_some().then(|| fact.clone());
+                    if let Some(nodes) =
+                        insert_derived(schema, &mut total, Some(&mut next_delta), fact)
+                    {
                         stats.derived += 1;
                         per_rule[idx].derived += 1;
-                        round_nodes += crate::delta::fact_nodes(&fact);
-                        if let Some(p) = prov.as_mut() {
-                            p.record(fact.clone(), idx, round, premises.clone());
-                        }
-                        if let Fact::Assoc { assoc, tuple } = &fact {
-                            next_delta.insert_assoc(*assoc, tuple.clone());
+                        round_nodes += nodes;
+                        if let (Some(p), Some(fact)) = (prov.as_mut(), recorded) {
+                            p.record(fact, idx, round, premises.clone());
                         }
                     }
                 }

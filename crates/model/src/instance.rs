@@ -116,8 +116,9 @@ impl fmt::Display for Fact {
 }
 
 /// One per-argument hash index over an association extension: normalized
-/// key value → the tuples carrying that key (see [`Value::index_key`]).
-type ArgIndex = Arc<FxHashMap<Value, Arc<Vec<Value>>>>;
+/// key value → handles of the tuples carrying that key (see
+/// [`Value::index_key`]).
+type ArgIndex = Arc<FxHashMap<Value, Arc<Vec<Arc<Value>>>>>;
 
 /// Lazily built secondary indexes over the association assignment ρ.
 ///
@@ -140,8 +141,12 @@ pub struct Instance {
     /// ν: oid → o-value (the *full* tuple across all classes of the oid's
     /// hierarchy; per-class views are projections).
     nu: FxHashMap<Oid, Value>,
-    /// ρ: association → tuples.
-    rho: FxHashMap<Sym, FxHashSet<Value>>,
+    /// ρ: association → tuples. Each tuple is stored once behind a shared
+    /// handle that compiled plans, relations and delta instances hold too.
+    /// `Arc<Value>` hashes exactly like `Value`, so iteration order (and with
+    /// it interpreter determinism and invented-oid numbering) is the order an
+    /// `FxHashSet<Value>` fed the same mutations would have.
+    rho: FxHashMap<Sym, FxHashSet<Arc<Value>>>,
     /// Data-function extensions: f → (args → elements).
     fun: FxHashMap<Sym, FxHashMap<Vec<Value>, BTreeSet<Value>>>,
     /// Mutation counter: bumped by every state change so [`IndexCache`]
@@ -227,6 +232,12 @@ impl Instance {
 
     /// Tuples of an association.
     pub fn tuples_of(&self, assoc: Sym) -> impl Iterator<Item = &Value> + '_ {
+        self.tuples_shared(assoc).map(|t| &**t)
+    }
+
+    /// Shared handles of an association's tuples, in [`Instance::tuples_of`]
+    /// order. Cloning a handle shares the stored tuple instead of copying it.
+    pub fn tuples_shared(&self, assoc: Sym) -> impl Iterator<Item = &Arc<Value>> + '_ {
         self.rho.get(&assoc).into_iter().flatten()
     }
 
@@ -249,7 +260,12 @@ impl Instance {
     /// The returned bucket preserves the extension's iteration order, so a
     /// probe enumerates candidates in the same relative order a full scan
     /// would — evaluation stays deterministic whichever path runs.
-    pub fn tuples_matching(&self, assoc: Sym, label: Sym, key: &Value) -> Option<Arc<Vec<Value>>> {
+    pub fn tuples_matching(
+        &self,
+        assoc: Sym,
+        label: Sym,
+        key: &Value,
+    ) -> Option<Arc<Vec<Arc<Value>>>> {
         self.arg_index(assoc, label).get(key).map(Arc::clone)
     }
 
@@ -265,13 +281,13 @@ impl Instance {
                 }
             }
         }
-        let mut buckets: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
-        for tuple in self.tuples_of(assoc) {
+        let mut buckets: FxHashMap<Value, Vec<Arc<Value>>> = FxHashMap::default();
+        for tuple in self.tuples_shared(assoc) {
             if let Some(fv) = tuple.field(label) {
                 buckets
                     .entry(fv.index_key())
                     .or_default()
-                    .push(tuple.clone());
+                    .push(Arc::clone(tuple));
             }
         }
         let built: ArgIndex =
@@ -472,6 +488,14 @@ impl Instance {
 
     /// Insert an association tuple. Returns whether it was new.
     pub fn insert_assoc(&mut self, assoc: Sym, tuple: Value) -> bool {
+        self.insert_assoc_shared(assoc, Arc::new(tuple))
+    }
+
+    /// Insert an association tuple by handle, storing the handle itself (no
+    /// copy), so the caller may file the same tuple elsewhere — a delta
+    /// instance, a relation — and share one allocation. Returns whether it
+    /// was new.
+    pub fn insert_assoc_shared(&mut self, assoc: Sym, tuple: Arc<Value>) -> bool {
         let changed = self.rho.entry(assoc).or_default().insert(tuple);
         if changed {
             self.touch();
@@ -537,7 +561,7 @@ impl Instance {
         let mut assocs: Vec<Sym> = self.rho.keys().copied().collect();
         assocs.sort();
         for assoc in assocs {
-            let mut tuples: Vec<&Value> = self.rho[&assoc].iter().collect();
+            let mut tuples: Vec<&Value> = self.tuples_of(assoc).collect();
             tuples.sort();
             for t in tuples {
                 out.push(Fact::Assoc {
@@ -1242,5 +1266,45 @@ mod tests {
         );
         let mut g = i.oid_gen();
         assert_eq!(g.fresh(), Oid(42));
+    }
+
+    fn pair(a: i64, b: &str) -> Value {
+        Value::tuple([("a", Value::Int(a)), ("b", Value::str(b))])
+    }
+
+    #[test]
+    fn shared_extents_iterate_like_a_plain_value_set() {
+        // Interpreter determinism and invented-oid numbering follow this
+        // order, so storing handles must not change it.
+        let a = sym("r");
+        let mut inst = Instance::new();
+        let mut plain: FxHashSet<Value> = FxHashSet::default();
+        for k in 0..2_000i64 {
+            let t = pair(k * 7 % 613, &format!("s{}", k % 97));
+            assert_eq!(inst.insert_assoc(a, t.clone()), plain.insert(t));
+            if k % 3 == 0 {
+                let gone = pair((k / 2) * 7 % 613, &format!("s{}", (k / 2) % 97));
+                assert_eq!(inst.remove_assoc(a, &gone), plain.remove(&gone));
+            }
+        }
+        assert!(inst.assoc_len(a) > 500);
+        let got: Vec<&Value> = inst.tuples_of(a).collect();
+        let want: Vec<&Value> = plain.iter().collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn clones_deltas_and_index_buckets_share_tuple_handles() {
+        let a = sym("r");
+        let mut i = Instance::new();
+        let t = Arc::new(pair(1, "x"));
+        assert!(i.insert_assoc_shared(a, Arc::clone(&t)));
+        let mut delta = Instance::new();
+        delta.insert_assoc_shared(a, Arc::clone(&t));
+        assert!(Arc::ptr_eq(delta.tuples_shared(a).next().unwrap(), &t));
+        let j = i.clone();
+        assert!(Arc::ptr_eq(j.tuples_shared(a).next().unwrap(), &t));
+        let bucket = j.tuples_matching(a, sym("a"), &Value::Int(1)).unwrap();
+        assert!(Arc::ptr_eq(&bucket[0], &t));
     }
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use algres::FixpointMode;
 use logres::engine::{
-    compile_ruleset, evaluate, evaluate_inflationary, evaluate_seminaive, load_facts, EvalOptions,
-    MetricsRegistry, Semantics,
+    compile_program, compile_ruleset, evaluate, evaluate_inflationary, evaluate_seminaive,
+    load_facts, EvalOptions, MetricsRegistry, Semantics,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen, Sym, Value};
@@ -313,6 +313,82 @@ fn compiled_negation_is_bit_identical_at_every_thread_count() {
     )
     .expect("interpreted oracle");
     assert_eq!(oracle.assoc_len(Sym::new("isolated")), 1);
+    for threads in [1usize, 2, 8, 0] {
+        let reg = Arc::new(MetricsRegistry::new());
+        let opts = EvalOptions {
+            threads,
+            metrics: Some(reg.clone()),
+            ..EvalOptions::default()
+        };
+        let (inst, _) = evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, opts)
+            .expect("compiled path");
+        assert_eq!(inst, oracle, "threads={threads} diverges from interpreter");
+        assert_eq!(reg.counter("logres_compile_runs_total").get(), 1);
+    }
+}
+
+/// A stratum's environment holds only the relations its plans scan. The top
+/// stratum here reads an extensional relation (`e`) and one derived two
+/// strata below it (`tc`), with `far` in between; the compiled path must
+/// still match the interpreter bit for bit at every thread count.
+#[test]
+fn compiled_strata_read_edb_and_lower_strata_bit_identically() {
+    // A fixed path out of node 0 keeps both `far` and `top` non-empty.
+    let mut edges = random_edges(12, 24, 5);
+    edges.extend([(0, 1), (1, 2), (2, 3)]);
+    let mut src = String::from(
+        r#"
+        associations
+          e    = (a: integer, b: integer);
+          node = (n: integer);
+          tc   = (a: integer, b: integer);
+          far  = (n: integer);
+          top  = (a: integer, b: integer);
+        facts
+        "#,
+    );
+    // Nodes 12..16 have no edges, so they are `far` from node 0.
+    for n in 0..16 {
+        src.push_str(&format!("node(n: {n}).\n"));
+    }
+    for (a, b) in &edges {
+        src.push_str(&format!("e(a: {a}, b: {b}).\n"));
+    }
+    src.push_str(
+        r#"
+        rules
+          tc(a: X, b: Y) <- e(a: X, b: Y).
+          tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
+          far(n: X) <- node(n: X), not tc(a: 0, b: X).
+          top(a: X, b: Z) <- e(a: X, b: Y), tc(a: Y, b: Z), not far(n: X).
+          top(a: X, b: Z) <- top(a: X, b: Y), e(a: Y, b: Z).
+        "#,
+    );
+    let (p, edb) = load(&src);
+    let program = compile_program(&p.schema, &p.rules, Semantics::Stratified).expect("compiles");
+    let stratum_of = |name: &str| {
+        program
+            .strata
+            .iter()
+            .position(|s| s.idb.contains(&Sym::new(name)))
+            .expect("derived predicate has a stratum")
+    };
+    assert_eq!(program.strata.len(), 3, "tc, far, top stratify apart");
+    assert_eq!(stratum_of("top"), stratum_of("tc") + 2);
+    let oracle_opts = EvalOptions {
+        compiled: false,
+        ..EvalOptions::default()
+    };
+    let (oracle, _) = evaluate(
+        &p.schema,
+        &p.rules,
+        &edb,
+        Semantics::Stratified,
+        oracle_opts,
+    )
+    .expect("interpreted oracle");
+    assert!(oracle.assoc_len(Sym::new("top")) > 0, "top derives tuples");
+    assert!(oracle.assoc_len(Sym::new("far")) > 0, "far derives tuples");
     for threads in [1usize, 2, 8, 0] {
         let reg = Arc::new(MetricsRegistry::new());
         let opts = EvalOptions {
