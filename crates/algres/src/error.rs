@@ -21,8 +21,6 @@ pub enum AlgError {
     BadValue(String),
     /// Unnest on a column that does not hold a collection.
     NotACollection(Sym),
-    /// The fixpoint did not converge within the step limit.
-    FixpointDiverged { steps: usize },
 }
 
 impl fmt::Display for AlgError {
@@ -40,9 +38,6 @@ impl fmt::Display for AlgError {
             }
             AlgError::BadValue(msg) => write!(f, "bad value: {msg}"),
             AlgError::NotACollection(c) => write!(f, "column `{c}` does not hold a collection"),
-            AlgError::FixpointDiverged { steps } => {
-                write!(f, "fixpoint did not converge within {steps} steps")
-            }
         }
     }
 }

@@ -1,11 +1,14 @@
 //! Evaluator for the extended relational algebra.
 //!
-//! Evaluation runs through an [`Evaluator`] session that caches, across
-//! fixpoint rounds and repeated calls, the results of sub-expressions that do
-//! not depend on any *volatile* relation (a fixpoint's recursive name, or a
-//! delta relation rebound by the engine between rounds), along with the hash
-//! tables built for `Join`/`SemiJoin`/`AntiJoin` right sides. The one-shot
-//! [`eval`] wrapper keeps the original convenience API.
+//! Evaluation runs through an [`Evaluator`] session over a fixed base
+//! environment. A caller implements a closure as an explicit loop over the
+//! session: it [`Evaluator::bind`]s the round's delta relation, evaluates
+//! the step plans, and folds the new tuples into the accumulated relation
+//! with [`Evaluator::extend_binding`]. Names bound this way are *volatile*.
+//! The session caches, across rounds and repeated calls, the results of
+//! sub-expressions that reach no volatile name, along with the hash tables
+//! built for `Join`/`SemiJoin`/`AntiJoin` right sides. The one-shot
+//! [`eval`] wrapper evaluates a single expression in a fresh session.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -15,13 +18,8 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use logres_model::{Sym, Value};
 
 use crate::error::AlgError;
-use crate::expr::{AggFun, AlgExpr, CmpOp, FixpointMode, Pred, Scalar};
+use crate::expr::{AggFun, AlgExpr, CmpOp, Pred, Scalar};
 use crate::relation::Relation;
-
-/// Upper bound on fixpoint rounds; exceeded means divergence is reported
-/// rather than looping forever (the underlying language cannot guarantee
-/// termination — Appendix B).
-pub const MAX_FIXPOINT_STEPS: usize = 1_000_000;
 
 /// Named relations visible to an expression.
 #[derive(Debug, Clone, Default)]
@@ -47,12 +45,11 @@ impl Env {
 }
 
 /// Work counters exposed by an [`Evaluator`] session. The engine surfaces
-/// these through the metrics registry so tests can pin that join tables are
-/// built once per fixpoint rather than once per round.
+/// these through the metrics registry so tests can pin that join tables
+/// over stable relations are built once per session rather than once per
+/// round.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Fixpoint rounds executed (one `step` evaluation each).
-    pub rounds: u64,
     /// Hash tables built for `Join`/`SemiJoin`/`AntiJoin` right sides.
     pub hash_builds: u64,
     /// Probes against those tables (one per left tuple).
@@ -64,8 +61,8 @@ pub struct EvalStats {
 /// Per-operator-node runtime counters, collected only when profiling is
 /// switched on via [`Evaluator::enable_profiling`]. Counters are keyed by
 /// node identity (the expression must outlive the session, as for the memo),
-/// so repeated evaluations of the same node — one per fixpoint or semi-naive
-/// round — accumulate. `nanos` is *inclusive* wall time (the node plus the
+/// so repeated evaluations of the same node — one per semi-naive round —
+/// accumulate. `nanos` is *inclusive* wall time (the node plus the
 /// children it actually evaluated); every other field is a deterministic
 /// count, bit-identical across runs and thread counts.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -106,16 +103,16 @@ struct KeyTable {
 ///
 /// Relations named in `base` are treated as immutable for the session;
 /// sub-expressions that reach only those (and constants) are memoized by node
-/// identity. Names rebound through [`Evaluator::bind`] — and every fixpoint's
-/// recursive name — are *volatile*: results depending on them are recomputed,
-/// but the hash tables and memo entries for their stable siblings persist
-/// across rounds, which is where the semi-naive win comes from.
+/// identity. Names bound through [`Evaluator::bind`] or
+/// [`Evaluator::extend_binding`] are *volatile*: results depending on them
+/// are recomputed, but the hash tables and memo entries for their stable
+/// siblings persist across rounds, which is where the semi-naive win comes
+/// from.
 pub struct Evaluator<'a> {
     base: &'a Env,
-    /// Volatile bindings, looked up before `base`.
+    /// Volatile bindings, looked up before `base`. A name bound once stays
+    /// here, and so stays volatile, for the rest of the session.
     overlay: FxHashMap<Sym, Relation>,
-    /// Volatile names with a shadow depth (fixpoints nest).
-    volatile: FxHashMap<Sym, u32>,
     /// Stable node ids: address → id, assigned by [`Evaluator::register_plan`]
     /// (or lazily on first visit). Every cache below is keyed by these ids,
     /// never by raw addresses, so re-registering a rebuilt plan that happens
@@ -143,7 +140,6 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             base,
             overlay: FxHashMap::default(),
-            volatile: FxHashMap::default(),
             ids: FxHashMap::default(),
             next_id: 0,
             memo: FxHashMap::default(),
@@ -204,9 +200,7 @@ impl<'a> Evaluator<'a> {
     /// Bind (or rebind) a volatile relation. The name is marked volatile for
     /// the rest of the session, so no cached result can go stale through it.
     pub fn bind(&mut self, name: impl Into<Sym>, rel: Relation) {
-        let name = name.into();
-        self.volatile.entry(name).or_insert(1);
-        self.overlay.insert(name, rel);
+        self.overlay.insert(name.into(), rel);
     }
 
     /// Extend an existing volatile binding in place with the rows of `more`,
@@ -215,7 +209,6 @@ impl<'a> Evaluator<'a> {
     /// because volatile names never participate in any cache.
     pub fn extend_binding(&mut self, name: impl Into<Sym>, more: &Relation) -> usize {
         let name = name.into();
-        self.volatile.entry(name).or_insert(1);
         match self.overlay.get_mut(&name) {
             Some(rel) => rel.extend_from(more),
             None => {
@@ -287,16 +280,11 @@ impl<'a> Evaluator<'a> {
     fn eval_dep_inner(&mut self, expr: &'a AlgExpr) -> Result<(Relation, bool), AlgError> {
         match expr {
             AlgExpr::Rel(name) => {
-                let dep = self.volatile.contains_key(name);
-                let rel = match self.overlay.get(name) {
-                    Some(r) => r.clone(),
-                    None => self
-                        .base
-                        .get(*name)
-                        .cloned()
-                        .ok_or(AlgError::UnknownRelation(*name))?,
-                };
-                return Ok((rel, dep));
+                if let Some(rel) = self.overlay.get(name) {
+                    return Ok((rel.clone(), true));
+                }
+                let rel = self.base.get(*name).cloned();
+                return Ok((rel.ok_or(AlgError::UnknownRelation(*name))?, false));
             }
             AlgExpr::Const(rel) => return Ok((rel.clone(), false)),
             _ => {}
@@ -647,91 +635,7 @@ impl<'a> Evaluator<'a> {
                 }
                 Ok((out, dep))
             }
-            AlgExpr::Fixpoint {
-                rec,
-                base,
-                step,
-                mode,
-            } => {
-                let (base_rel, _) = self.eval_dep(base)?;
-                let linear = step.count_refs(*rec) <= 1;
-                // The recursive name is volatile inside the fixpoint; shadow
-                // any outer binding of the same name and restore it after.
-                *self.volatile.entry(*rec).or_insert(0) += 1;
-                let saved = self.overlay.remove(rec);
-                let result = match (mode, linear) {
-                    (FixpointMode::Delta, true) => self.fixpoint_delta(*rec, base_rel, step),
-                    // Non-linear steps are evaluated naively even in Delta
-                    // mode (semi-naive needs the full mixed delta there).
-                    _ => self.fixpoint_naive(*rec, base_rel, step),
-                };
-                self.overlay.remove(rec);
-                if let Some(prev) = saved {
-                    self.overlay.insert(*rec, prev);
-                }
-                match self.volatile.get_mut(rec) {
-                    Some(depth) if *depth > 1 => *depth -= 1,
-                    _ => {
-                        self.volatile.remove(rec);
-                    }
-                }
-                // Conservatively never memoize a fixpoint result: its step's
-                // dependence is not tracked through the rounds.
-                result.map(|rel| (rel, true))
-            }
         }
-    }
-
-    fn fixpoint_naive(
-        &mut self,
-        rec: Sym,
-        base: Relation,
-        step: &'a AlgExpr,
-    ) -> Result<Relation, AlgError> {
-        let mut acc = base;
-        for _ in 0..MAX_FIXPOINT_STEPS {
-            self.overlay.insert(rec, acc.clone());
-            self.stats.rounds += 1;
-            let (new, _) = self.eval_dep(step)?;
-            // Drop the overlay's handle on `acc` so the extend below writes
-            // in place instead of copying the shared body.
-            self.overlay.remove(&rec);
-            if acc.extend_from(&new) == 0 {
-                return Ok(acc);
-            }
-        }
-        Err(AlgError::FixpointDiverged {
-            steps: MAX_FIXPOINT_STEPS,
-        })
-    }
-
-    fn fixpoint_delta(
-        &mut self,
-        rec: Sym,
-        base: Relation,
-        step: &'a AlgExpr,
-    ) -> Result<Relation, AlgError> {
-        let mut acc = base.clone();
-        let mut delta = base;
-        for _ in 0..MAX_FIXPOINT_STEPS {
-            if delta.is_empty() {
-                return Ok(acc);
-            }
-            self.overlay.insert(rec, delta);
-            self.stats.rounds += 1;
-            let (derived, _) = self.eval_dep(step)?;
-            let mut fresh = Relation::new(acc.cols().to_vec());
-            for t in derived.iter_shared() {
-                if !acc.contains(t) {
-                    fresh.insert_shared(Arc::clone(t));
-                }
-            }
-            acc.extend_from(&fresh);
-            delta = fresh;
-        }
-        Err(AlgError::FixpointDiverged {
-            steps: MAX_FIXPOINT_STEPS,
-        })
     }
 
     /// The `Emit`-over-`Join` fast path: probe the join's hash table and
@@ -1170,6 +1074,45 @@ mod tests {
         env
     }
 
+    /// Close `base` under `step` the way the engine's compiled driver does:
+    /// bind each round's new tuples as the volatile relation `delta` (which
+    /// `step` reads), evaluate `step`, and fold the tuples not seen before
+    /// into the volatile accumulator `acc` with `extend_binding`. Returns
+    /// the closure and the number of rounds that evaluated `step`.
+    fn close<'a>(
+        session: &mut Evaluator<'a>,
+        step: &'a AlgExpr,
+        base: Relation,
+    ) -> (Relation, u64) {
+        let (acc, delta) = (Sym::new("tc"), Sym::new("d"));
+        let mut total = base.clone();
+        session.bind(acc, base.clone());
+        let mut next = base;
+        let mut rounds = 0;
+        while !next.is_empty() {
+            session.bind(delta, next);
+            rounds += 1;
+            let derived = session.eval(step).unwrap();
+            let mut fresh = Relation::new(total.cols().to_vec());
+            for t in derived.iter_shared() {
+                if !total.contains(t) {
+                    fresh.insert_shared(Arc::clone(t));
+                }
+            }
+            total.extend_from(&fresh);
+            session.extend_binding(acc, &fresh);
+            next = fresh;
+        }
+        (total, rounds)
+    }
+
+    /// The delta step of the chain closure: `d(src, mid) ⋈ e(mid, dst)`.
+    fn delta_join() -> AlgExpr {
+        AlgExpr::Rel(Sym::new("d"))
+            .rename("dst", "mid")
+            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
+    }
+
     #[test]
     fn select_and_project() {
         let env = env_with("e", edges(&[(1, 2), (2, 3), (3, 1)]));
@@ -1316,49 +1259,6 @@ mod tests {
         ])));
     }
 
-    /// Transitive closure over a chain, in both fixpoint modes; results must
-    /// agree (the E1 experiment measures their speed difference).
-    #[test]
-    fn fixpoint_naive_and_delta_agree_on_closure() {
-        let chain: Vec<(i64, i64)> = (0..30).map(|i| (i, i + 1)).collect();
-        let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let mk = |mode| AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step.clone()),
-            mode,
-        };
-        let naive = eval(&mk(FixpointMode::Naive), &env).unwrap();
-        let delta = eval(&mk(FixpointMode::Delta), &env).unwrap();
-        // Closure of a 31-node chain: 31*30/2 pairs.
-        assert_eq!(naive.len(), 31 * 30 / 2);
-        assert!(naive.set_eq(&delta));
-    }
-
-    #[test]
-    fn nonlinear_fixpoint_falls_back_to_naive_in_delta_mode() {
-        // tc ⋈ tc — a non-linear step; Delta mode must still be correct.
-        let env = env_with("e", edges(&[(1, 2), (2, 3), (3, 4)]));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(tc).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
-        let r = eval(&fx, &env).unwrap();
-        assert_eq!(r.len(), 6); // closure of the 4-chain
-    }
-
     #[test]
     fn semijoin_and_antijoin_partition_the_left() {
         let mut env = Env::new();
@@ -1468,41 +1368,31 @@ mod tests {
         ));
     }
 
-    /// The fixpoint's join against the stable edge relation must build its
-    /// hash table once for the whole fixpoint, not once per round.
+    /// The closure's join against the stable edge relation must build its
+    /// hash table once for the whole session, not once per round.
     #[test]
     fn join_table_is_built_once_across_fixpoint_rounds() {
         let chain: Vec<(i64, i64)> = (0..20).map(|i| (i, i + 1)).collect();
         let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
+        let step = delta_join().project(["src", "dst"]);
         let mut session = Evaluator::new(&env);
-        let r = session.eval(&fx).unwrap();
+        let (r, rounds) = close(&mut session, &step, edges(&chain));
         assert_eq!(r.len(), 21 * 20 / 2);
         let stats = session.stats();
-        // A 21-node chain closes in 20 delta rounds (plus the final empty
-        // delta short-circuit); the right side of the join is the stable
-        // renamed edge relation, so exactly one hash build happens.
+        // A 21-node chain closes in 20 delta rounds (the last one derives
+        // nothing); the right side of the join is the stable renamed edge
+        // relation, so exactly one hash build happens.
         assert_eq!(stats.hash_builds, 1);
-        assert_eq!(stats.rounds, 20);
-        assert!(stats.probes > stats.rounds);
+        assert_eq!(rounds, 20);
+        assert!(stats.probes > rounds);
     }
 
     /// Volatile-free sub-expressions are evaluated once per session even when
-    /// referenced repeatedly across fixpoint rounds.
+    /// referenced repeatedly across rounds.
     #[test]
     fn stable_subexpressions_are_memoized_across_rounds() {
-        let env = env_with("e", edges(&[(1, 2), (2, 3), (3, 4), (4, 5)]));
-        let tc = Sym::new("tc");
+        let pairs = [(1, 2), (2, 3), (3, 4), (4, 5)];
+        let env = env_with("e", edges(&pairs));
         // The filtered edge set is volatile-free; the union forces it to be
         // (re-)consulted every round.
         let filtered = AlgExpr::Rel(Sym::new("e")).select(Pred::Cmp(
@@ -1510,24 +1400,15 @@ mod tests {
             Scalar::col("src"),
             Scalar::Const(Value::Int(0)),
         ));
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
-            .project(["src", "dst"])
-            .union(filtered);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Naive,
-        };
+        let step = delta_join().project(["src", "dst"]).union(filtered);
         let mut session = Evaluator::new(&env);
-        let r = session.eval(&fx).unwrap();
+        let (r, rounds) = close(&mut session, &step, edges(&pairs));
         assert_eq!(r.len(), 5 * 4 / 2);
         let stats = session.stats();
-        assert!(stats.rounds >= 2);
+        assert!(rounds >= 2);
         // The select node is computed once; every later round hits the memo.
-        assert!(stats.memo_hits >= stats.rounds - 1);
+        assert!(stats.memo_hits >= rounds - 1);
+        assert_eq!(stats.hash_builds, 1);
     }
 
     /// Rebinding through [`Evaluator::bind`] marks the name volatile, so
@@ -1550,44 +1431,31 @@ mod tests {
     fn profiling_attributes_work_to_operator_nodes() {
         let chain: Vec<(i64, i64)> = (0..20).map(|i| (i, i + 1)).collect();
         let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let renamed_delta = AlgExpr::Rel(tc).rename("dst", "mid");
-        let renamed_edge = AlgExpr::Rel(Sym::new("e")).rename("src", "mid");
-        let step = renamed_delta.join(renamed_edge).project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
+        let step = delta_join().project(["src", "dst"]);
         let mut session = Evaluator::new(&env);
         session.enable_profiling();
-        let r = session.eval(&fx).unwrap();
+        let (r, rounds) = close(&mut session, &step, edges(&chain));
         assert_eq!(r.len(), 21 * 20 / 2);
+        assert_eq!(rounds, 20);
         // Session-level counters are untouched by profiling.
         assert_eq!(session.stats().hash_builds, 1);
-        assert_eq!(session.stats().rounds, 20);
 
-        let (join, project) = match &fx {
-            AlgExpr::Fixpoint { step, .. } => match step.as_ref() {
-                AlgExpr::Project { input, .. } => (input.as_ref(), step.as_ref()),
-                other => panic!("unexpected step {other:?}"),
-            },
-            other => panic!("unexpected root {other:?}"),
+        let AlgExpr::Project { input: join, .. } = &step else {
+            panic!("unexpected step {step:?}");
         };
         let join_stats = session.op_stats_for(join);
         // The single hash build and all probes land on the join node.
         assert_eq!(join_stats.hash_builds, 1);
         assert_eq!(join_stats.probes, session.stats().probes);
         assert_eq!(join_stats.evals, 20);
-        let project_stats = session.op_stats_for(project);
+        let project_stats = session.op_stats_for(&step);
         assert_eq!(project_stats.evals, 20);
         // The projection consumes exactly what the join produced.
         assert_eq!(project_stats.rows_in, join_stats.rows_out);
         assert!(project_stats.nanos >= join_stats.nanos);
         // An un-profiled session reports zeroed stats for every node.
         let mut cold = Evaluator::new(&env);
-        cold.eval(&fx).unwrap();
+        close(&mut cold, &step, edges(&chain));
         assert_eq!(cold.op_stats_for(join), OpStats::default());
     }
 
@@ -1636,40 +1504,27 @@ mod tests {
     fn emit_over_join_profiles_conserve_rows() {
         let chain: Vec<(i64, i64)> = (0..20).map(|i| (i, i + 1)).collect();
         let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let join = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"));
         let step = AlgExpr::Emit {
-            input: Box::new(join),
+            input: Box::new(delta_join()),
             pred: Pred::True,
             cols: vec![
                 (Sym::new("src"), Scalar::col("src")),
                 (Sym::new("dst"), Scalar::col("dst")),
             ],
         };
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
         let mut session = Evaluator::new(&env);
         session.enable_profiling();
-        let r = session.eval(&fx).unwrap();
+        let (r, rounds) = close(&mut session, &step, edges(&chain));
         assert_eq!(r.len(), 21 * 20 / 2);
+        assert_eq!(rounds, 20);
         // The stable right side is still built exactly once and all probes
         // go through the cached table, same as the unfused join.
         assert_eq!(session.stats().hash_builds, 1);
 
-        let (emit, join) = match &fx {
-            AlgExpr::Fixpoint { step, .. } => match step.as_ref() {
-                e @ AlgExpr::Emit { input, .. } => (e, input.as_ref()),
-                other => panic!("unexpected step {other:?}"),
-            },
-            other => panic!("unexpected root {other:?}"),
+        let AlgExpr::Emit { input: join, .. } = &step else {
+            panic!("unexpected step {step:?}");
         };
-        let emit_stats = session.op_stats_for(emit);
+        let emit_stats = session.op_stats_for(&step);
         let join_stats = session.op_stats_for(join);
         // The join is credited once per round even though the emit drives
         // its probe directly.
@@ -1681,32 +1536,5 @@ mod tests {
         assert_eq!(emit_stats.rows_in, join_stats.rows_out);
         // Inclusive times nest, so self = emit − join stays non-negative.
         assert!(emit_stats.nanos >= join_stats.nanos);
-    }
-
-    /// A fixpoint whose recursive name shadows an engine-bound volatile name
-    /// must restore the outer binding when it exits.
-    #[test]
-    fn fixpoint_restores_shadowed_outer_binding() {
-        let env = env_with("e", edges(&[(1, 2), (2, 3)]));
-        let mut session = Evaluator::new(&env);
-        session.bind("tc", edges(&[(9, 9)]));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
-        let r = session.eval(&fx).unwrap();
-        assert_eq!(r.len(), 3);
-        // The outer binding of `tc` is intact after the fixpoint.
-        let outer = AlgExpr::Rel(tc).select(Pred::True);
-        let o = session.eval(&outer).unwrap();
-        assert_eq!(o.len(), 1);
-        assert!(o.contains(&edge(9, 9)));
     }
 }

@@ -141,20 +141,6 @@ pub enum AggFun {
     CollectMultiset,
 }
 
-/// How a [`AlgExpr::Fixpoint`] is evaluated — the "liberal" closure of
-/// ALGRES with switchable semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FixpointMode {
-    /// Re-evaluate the step over the full accumulated relation each round.
-    #[default]
-    Naive,
-    /// Semi-naive: bind the recursive reference to the last round's *new*
-    /// tuples only. Exact for linear steps (at most one recursive
-    /// reference); the evaluator falls back to naive when the step mentions
-    /// the recursive relation more than once.
-    Delta,
-}
-
 /// An algebra expression.
 #[derive(Debug, Clone, PartialEq)]
 // Field names are self-documenting; variant docs carry the semantics.
@@ -206,7 +192,7 @@ pub enum AlgExpr {
         right: Box<AlgExpr>,
     },
     /// ▷ — antijoin: left tuples with *no* partner in `right` on the shared
-    /// columns. This is how negated literals compile ([Ca90]).
+    /// columns. This is how negated literals compile (\[Ca90\]).
     AntiJoin {
         left: Box<AlgExpr>,
         right: Box<AlgExpr>,
@@ -250,15 +236,6 @@ pub enum AlgExpr {
         agg: AggFun,
         on: Sym,
         into: Sym,
-    },
-    /// The liberal fixpoint: starting from `base`, repeatedly union in
-    /// `step` (which may reference the accumulator as `Rel(rec)`), until no
-    /// new tuples appear.
-    Fixpoint {
-        rec: Sym,
-        base: Box<AlgExpr>,
-        step: Box<AlgExpr>,
-        mode: FixpointMode,
     },
 }
 
@@ -329,42 +306,6 @@ impl AlgExpr {
             AlgExpr::Nest { .. } => "nest",
             AlgExpr::Unnest { .. } => "unnest",
             AlgExpr::Aggregate { .. } => "aggregate",
-            AlgExpr::Fixpoint { .. } => "fixpoint",
-        }
-    }
-
-    /// Number of references to `Rel(name)` in this expression (used to
-    /// decide whether semi-naive evaluation is exact).
-    pub fn count_refs(&self, name: Sym) -> usize {
-        match self {
-            AlgExpr::Rel(r) => usize::from(*r == name),
-            AlgExpr::Const(_) => 0,
-            AlgExpr::Select { input, .. }
-            | AlgExpr::Project { input, .. }
-            | AlgExpr::Rename { input, .. }
-            | AlgExpr::Extend { input, .. }
-            | AlgExpr::Emit { input, .. }
-            | AlgExpr::Nest { input, .. }
-            | AlgExpr::Unnest { input, .. }
-            | AlgExpr::Aggregate { input, .. } => input.count_refs(name),
-            AlgExpr::Product { left, right }
-            | AlgExpr::Join { left, right }
-            | AlgExpr::Union { left, right }
-            | AlgExpr::Diff { left, right }
-            | AlgExpr::Intersect { left, right }
-            | AlgExpr::SemiJoin { left, right }
-            | AlgExpr::AntiJoin { left, right } => left.count_refs(name) + right.count_refs(name),
-            AlgExpr::Fixpoint {
-                rec, base, step, ..
-            } => {
-                // An inner fixpoint shadows `name` if it reuses the symbol.
-                base.count_refs(name)
-                    + if *rec == name {
-                        0
-                    } else {
-                        step.count_refs(name)
-                    }
-            }
         }
     }
 
@@ -389,7 +330,6 @@ impl AlgExpr {
             | AlgExpr::Intersect { left, right }
             | AlgExpr::SemiJoin { left, right }
             | AlgExpr::AntiJoin { left, right } => vec![left, right],
-            AlgExpr::Fixpoint { base, step, .. } => vec![base, step],
         }
     }
 }
@@ -483,22 +423,6 @@ mod tests {
         let mut cols = p.cols();
         cols.sort();
         assert_eq!(cols, vec![Sym::new("a"), Sym::new("e"), Sym::new("s")]);
-    }
-
-    #[test]
-    fn count_refs_respects_fixpoint_shadowing() {
-        let rec = Sym::new("tc");
-        let inner = AlgExpr::Fixpoint {
-            rec,
-            base: Box::new(AlgExpr::Rel(rec)),
-            step: Box::new(AlgExpr::Rel(rec)),
-            mode: FixpointMode::Naive,
-        };
-        // The base counts (evaluated in the outer scope); the step is
-        // shadowed.
-        assert_eq!(inner.count_refs(rec), 1);
-        let join = AlgExpr::Rel(rec).join(AlgExpr::Rel(rec));
-        assert_eq!(join.count_refs(rec), 2);
     }
 
     #[test]

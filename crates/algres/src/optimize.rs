@@ -108,33 +108,6 @@ fn rewrite(expr: AlgExpr, catalog: Catalog<'_>) -> AlgExpr {
             on,
             into,
         },
-        AlgExpr::Fixpoint {
-            rec,
-            base,
-            step,
-            mode,
-        } => {
-            let base = rewrite(*base, catalog);
-            // Inside the step, `rec` names the accumulating relation — whose
-            // columns are the base's — not whatever the outer catalog may
-            // associate with the same name. Shadow it to avoid capturing an
-            // unrelated relation's columns in coverage decisions.
-            let rec_cols = out_cols(&base, catalog);
-            let step_catalog = move |name: Sym| {
-                if name == rec {
-                    rec_cols.clone()
-                } else {
-                    catalog(name)
-                }
-            };
-            let step = rewrite(*step, &step_catalog);
-            AlgExpr::Fixpoint {
-                rec,
-                base: Box::new(base),
-                step: Box::new(step),
-                mode,
-            }
-        }
         leaf @ (AlgExpr::Rel(_) | AlgExpr::Const(_)) => leaf,
     }
 }
@@ -422,17 +395,6 @@ fn fuse_children(expr: AlgExpr) -> AlgExpr {
             on,
             into,
         },
-        AlgExpr::Fixpoint {
-            rec,
-            base,
-            step,
-            mode,
-        } => AlgExpr::Fixpoint {
-            rec,
-            base: Box::new(fuse_reshapes(*base)),
-            step: Box::new(fuse_reshapes(*step)),
-            mode,
-        },
     }
 }
 
@@ -654,7 +616,7 @@ fn try_push(expr: AlgExpr, p: &Pred, catalog: Catalog<'_>) -> Result<AlgExpr, Al
 mod tests {
     use super::*;
     use crate::eval::{eval, Env};
-    use crate::expr::{CmpOp, FixpointMode, Scalar};
+    use crate::expr::{CmpOp, Scalar};
     use crate::relation::Relation;
     use logres_model::Value;
 
@@ -796,47 +758,6 @@ mod tests {
         assert_eq!(eval(&semi, &env).unwrap(), eval(&optimized, &env).unwrap());
     }
 
-    /// The catalog must not leak into a fixpoint step for the recursive
-    /// name: `rec` inside the step has the base's columns, not whatever an
-    /// outer relation of the same name has. With the capture bug, the
-    /// selection below sinks onto the recursive reference (whose tuples lack
-    /// `k`) and evaluation breaks.
-    #[test]
-    fn fixpoint_step_shadows_the_catalog_for_the_recursive_name() {
-        // Outer catalog: `t` is a one-column relation over `k`.
-        let catalog = |name: Sym| {
-            if name == Sym::new("t") {
-                Some(vec![Sym::new("k")])
-            } else {
-                None
-            }
-        };
-        let t = Sym::new("t");
-        // step: (t ⋈ m).select(k = 1).project(src, dst) where m(dst, k).
-        let m = Relation::from_rows(
-            ["dst", "k"],
-            [
-                Value::tuple([("dst", Value::Int(2)), ("k", Value::Int(1))]),
-                Value::tuple([("dst", Value::Int(3)), ("k", Value::Int(1))]),
-            ],
-        );
-        let step = AlgExpr::Rel(t)
-            .join(AlgExpr::Const(m))
-            .select(sel("k", 1))
-            .project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: t,
-            base: Box::new(AlgExpr::Const(edges(&[(1, 2), (2, 3)]))),
-            step: Box::new(step),
-            mode: FixpointMode::Naive,
-        };
-        let optimized = push_selections_with(fx.clone(), &catalog);
-        let env = Env::new();
-        let orig = eval(&fx, &env).unwrap();
-        let opt = eval(&optimized, &env).unwrap();
-        assert_eq!(orig, opt);
-    }
-
     #[test]
     fn reshape_chain_fuses_to_a_single_emit() {
         // The per-literal shape the planner emits:
@@ -972,8 +893,7 @@ mod tests {
 
     /// Differential proptest: pushdown never changes the result of a
     /// well-formed plan, across random expressions covering joins, unions,
-    /// differences, renames, projections, extends and fixpoints — including
-    /// fixpoints whose recursive name collides with a catalog entry.
+    /// differences, renames, projections, extends and semi-/antijoins.
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -1038,7 +958,7 @@ mod tests {
                     }
                 };
             }
-            match cur.next() % 9 {
+            match cur.next() % 8 {
                 0 => {
                     // Select.
                     let (e, cols) = build(cur, depth - 1);
@@ -1130,7 +1050,7 @@ mod tests {
                     cols.push(new);
                     (e, cols)
                 }
-                7 => {
+                _ => {
                     // Semi- or anti-join.
                     let (l, cols) = build(cur, depth - 1);
                     let (r, _) = build(cur, depth - 1);
@@ -1146,49 +1066,6 @@ mod tests {
                         }
                     };
                     (e, cols)
-                }
-                _ => {
-                    // Fixpoint; the recursive name may deliberately collide
-                    // with catalog entry `r1` to exercise capture handling.
-                    let (base, cols) = build(cur, depth - 1);
-                    let rec = if cur.next().is_multiple_of(2) {
-                        col("r1")
-                    } else {
-                        col("fx")
-                    };
-                    // step: σ_p(rec ⋈ m).project(cols) with m sharing one
-                    // column — values are drawn from a finite domain, so the
-                    // accumulation terminates.
-                    let shared = cols[(cur.next() as usize) % cols.len()];
-                    let fresh: Vec<Sym> = ["x", "y", "z", "w"]
-                        .iter()
-                        .map(|s| col(s))
-                        .filter(|s| !cols.contains(s))
-                        .collect();
-                    let mcols = vec![shared, fresh[(cur.next() as usize) % fresh.len()]];
-                    let m = AlgExpr::Const(const_rel(cur, &mcols));
-                    let joined = AlgExpr::Rel(rec).join(m);
-                    let mut jcols = cols.clone();
-                    for c in &mcols {
-                        if !jcols.contains(c) {
-                            jcols.push(*c);
-                        }
-                    }
-                    let step = joined.select(rand_pred(cur, &jcols)).project_syms(&cols);
-                    let mode = if cur.next().is_multiple_of(2) {
-                        FixpointMode::Naive
-                    } else {
-                        FixpointMode::Delta
-                    };
-                    (
-                        AlgExpr::Fixpoint {
-                            rec,
-                            base: Box::new(base),
-                            step: Box::new(step),
-                            mode,
-                        },
-                        cols,
-                    )
                 }
             }
         }

@@ -1,12 +1,12 @@
 //! E1 — transitive closure: interpreter (serial and parallel) vs semi-naive
-//! vs compiled (naive and delta ALGRES fixpoints). The interpreter path
-//! probes the instance's first-bound-argument index, so this benchmark also
-//! attributes the indexing win versus the historical full-scan numbers.
+//! vs compiled ALGRES plans. The interpreter path probes the instance's
+//! first-bound-argument index, so this benchmark also attributes the
+//! indexing win versus the historical full-scan numbers.
 
-use algres::FixpointMode;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use logres::engine::{
-    compile_ruleset, evaluate_inflationary, evaluate_seminaive, load_facts, EvalOptions,
+    compile_program, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
+    EvalOptions, Semantics,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen};
@@ -63,15 +63,11 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("seminaive_par", n), &n, |b, _| {
             b.iter(|| evaluate_seminaive(&p.schema, &p.rules, &edb, par_opts.clone()).unwrap())
         });
-        for (mode, name) in [
-            (FixpointMode::Naive, "compiled_naive"),
-            (FixpointMode::Delta, "compiled_delta"),
-        ] {
-            let compiled = compile_ruleset(&p.schema, &p.rules, mode).unwrap();
-            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| compiled.run(&p.schema, &edb).unwrap())
-            });
-        }
+        let program = compile_program(&p.schema, &p.rules, Semantics::Inflationary).unwrap();
+        let opts = EvalOptions::default();
+        group.bench_with_input(BenchmarkId::new("compiled", n), &n, |b, _| {
+            b.iter(|| run_compiled(&p.schema, &program, &p.rules, &edb, &opts).unwrap())
+        });
     }
 
     // Wide workload: many independent rules, where the per-rule match phase

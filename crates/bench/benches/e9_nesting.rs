@@ -1,9 +1,11 @@
 //! E9 — nested relations: data functions (Example 3.2) vs the ALGRES nest
 //! operator.
 
-use algres::{AlgExpr, FixpointMode};
+use algres::AlgExpr;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use logres::engine::{compile_ruleset, env_from_instance, evaluate, load_facts, EvalOptions};
+use logres::engine::{
+    compile_program, env_from_instance, evaluate, load_facts, run_compiled, EvalOptions,
+};
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen, Sym};
 use logres::Semantics;
@@ -37,8 +39,16 @@ fn bench(c: &mut Criterion) {
     load_facts(&flat.schema, &mut edb2, &flat.facts, &mut gen2).unwrap();
     group.bench_with_input(BenchmarkId::new("algres_nest", n), &n, |b, _| {
         b.iter(|| {
-            let compiled = compile_ruleset(&flat.schema, &flat.rules, FixpointMode::Delta).unwrap();
-            let out = compiled.run(&flat.schema, &edb2).unwrap();
+            let program =
+                compile_program(&flat.schema, &flat.rules, Semantics::Inflationary).unwrap();
+            let (out, _) = run_compiled(
+                &flat.schema,
+                &program,
+                &flat.rules,
+                &edb2,
+                &EvalOptions::default(),
+            )
+            .unwrap();
             let env = env_from_instance(&flat.schema, &out);
             let nest = AlgExpr::Nest {
                 input: Box::new(AlgExpr::Rel(Sym::new("tc"))),

@@ -4,10 +4,10 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use algres::{AggFun, AlgExpr, CmpOp, FixpointMode, Pred as APred, Scalar};
+use algres::{AggFun, AlgExpr, CmpOp, Pred as APred, Scalar};
 use logres::engine::{
-    answer_goal, compile_program, compile_program_with, compile_ruleset, env_from_instance,
-    evaluate, evaluate_demand, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
+    answer_goal, compile_program, compile_program_with, env_from_instance, evaluate,
+    evaluate_demand, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
     EvalOptions, MetricsRegistry,
 };
 use logres::lang::analyze::{flow_program, infer, render_all_json, seeds_from_instance};
@@ -103,9 +103,10 @@ pub fn all() -> Vec<(&'static str, Runner)> {
 }
 
 /// E1 — transitive closure: naive interpreter vs semi-naive vs
-/// ALGRES-compiled (naive and delta fixpoints). Claim (paper §1, §5): the
-/// switchable ALGRES closure makes semi-naive evaluation a drop-in; shape:
-/// semi-naive/delta win by a factor growing with the recursion depth.
+/// ALGRES-compiled plans. Claim (paper §1, §5): the liberal ALGRES closure
+/// makes semi-naive evaluation a drop-in; shape: the delta-driven engines
+/// win by a factor growing with the recursion depth. Every engine must
+/// produce a tuple-identical instance.
 pub fn e1_closure() -> Table {
     let mut t = Table::new(
         "E1 — transitive closure over chains and random graphs",
@@ -117,44 +118,39 @@ pub fn e1_closure() -> Table {
         let src = closure_program(&edges);
         let (schema, edb, rules) = loaded(&src);
         let tc = Sym::new("tc");
-
-        if heavy_engines {
-            let (d, (inst, _)) =
-                time(|| evaluate_inflationary(&schema, &rules, &edb, opts.clone()).expect("naive"));
+        let mut row = |engine: &str, d: Duration, inst: &Instance| {
             t.row(vec![
                 workload.into(),
                 n.to_string(),
-                "interpreter (naive)".into(),
+                engine.into(),
                 fmt_duration(d),
                 inst.assoc_len(tc).to_string(),
             ]);
-        }
-        let (d, (inst, _)) =
+        };
+
+        let naive = heavy_engines.then(|| {
+            time(|| evaluate_inflationary(&schema, &rules, &edb, opts.clone()).expect("naive"))
+        });
+        let (d, (semi, _)) =
             time(|| evaluate_seminaive(&schema, &rules, &edb, opts.clone()).expect("semi-naive"));
-        t.row(vec![
-            workload.into(),
-            n.to_string(),
-            "semi-naive".into(),
-            fmt_duration(d),
-            inst.assoc_len(tc).to_string(),
-        ]);
-        for (mode, name) in [
-            (FixpointMode::Naive, "compiled (naive fixpoint)"),
-            (FixpointMode::Delta, "compiled (delta fixpoint)"),
-        ] {
-            if mode == FixpointMode::Naive && !heavy_engines {
-                continue;
-            }
-            let compiled = compile_ruleset(&schema, &rules, mode).expect("compiles");
-            let (d, out) = time(|| compiled.run(&schema, &edb).expect("compiled runs"));
-            t.row(vec![
-                workload.into(),
-                n.to_string(),
-                name.into(),
-                fmt_duration(d),
-                out.assoc_len(tc).to_string(),
-            ]);
+        if let Some((d, (inst, _))) = naive {
+            assert_eq!(
+                inst, semi,
+                "{workload}/{n}: naive and semi-naive instances differ"
+            );
+            row("interpreter (naive)", d, &inst);
         }
+        row("semi-naive", d, &semi);
+        let program =
+            compile_program(&schema, &rules, Semantics::Inflationary).expect("closure compiles");
+        let (d, (inst, _)) = time(|| {
+            run_compiled(&schema, &program, &rules, &edb, &opts).expect("compiled plans run")
+        });
+        assert_eq!(
+            inst, semi,
+            "{workload}/{n}: compiled and semi-naive instances differ"
+        );
+        row("compiled (plans)", d, &inst);
     };
     for n in [32, 64, 128] {
         run("chain", chain_edges(n), true);
@@ -470,13 +466,14 @@ pub fn e9_nesting() -> Table {
             inst.assoc_len(Sym::new("ancestor")).to_string(),
         ]);
 
-        // Method B: flat closure compiled to ALGRES, then one nest.
+        // Method B: flat closure compiled to ALGRES plans, then one nest.
         let flat_src = closure_program(&(0..n as i64).map(|i| (i, i + 1)).collect::<Vec<_>>());
         let (schema2, edb2, rules2) = loaded(&flat_src);
         let (d, nested_len) = time(|| {
-            let compiled =
-                compile_ruleset(&schema2, &rules2, FixpointMode::Delta).expect("compiles");
-            let out = compiled.run(&schema2, &edb2).expect("closure runs");
+            let program =
+                compile_program(&schema2, &rules2, Semantics::Inflationary).expect("compiles");
+            let (out, _) = run_compiled(&schema2, &program, &rules2, &edb2, &bench_opts())
+                .expect("closure runs");
             let env = env_from_instance(&schema2, &out);
             let nest = AlgExpr::Nest {
                 input: Box::new(AlgExpr::Rel(Sym::new("tc"))),
@@ -485,6 +482,11 @@ pub fn e9_nesting() -> Table {
             };
             algres::eval(&nest, &env).expect("nest runs").len()
         });
+        assert_eq!(
+            nested_len,
+            inst.assoc_len(Sym::new("ancestor")),
+            "chain {n}: the two methods disagree on the nested row count"
+        );
         t.row(vec![
             n.to_string(),
             "algres nest".into(),

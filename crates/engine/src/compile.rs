@@ -1,18 +1,21 @@
-//! Compilation of the positive association fragment to the ALGRES algebra.
+//! Lowering of rule bodies to ALGRES select–join–project plans.
 //!
-//! The paper's prototype translates LOGRES onto ALGRES ([Ca90]); this module
-//! reproduces that path for the positive, function-free association
-//! fragment: each rule becomes a select–join–project expression, recursive
-//! predicates become ALGRES fixpoints, and the fixpoint mode (naive vs.
-//! semi-naive delta) is the "liberal closure" switch the paper highlights.
-//! Benchmark E1 compares this compiled path against direct interpretation.
+//! The paper's prototype translates LOGRES onto ALGRES (\[Ca90\]); this
+//! module holds that translation for one rule at a time.
+//! `compile_rule_plan_with` lowers the positive, function-free association
+//! fragment plus stratified negation: literals become renamed relation
+//! scans joined on shared variables, constants and builtins become
+//! selections and extends, negated literals become antijoins, and
+//! already-bound literals become semijoin reducers. `plan.rs` calls it once
+//! per rule for the full plan and once per same-stratum body occurrence for
+//! the semi-naive delta plans, and drives the closure itself.
+//! [`env_from_instance`] binds an instance's associations as relations for
+//! hand-written algebra queries.
 
-use algres::{eval, AlgExpr, Env, FixpointMode, Pred as APred, Relation, Scalar};
-use logres_lang::{Atom, BinOp, Builtin, PredArg, Rule, RuleSet, Term};
+use algres::{AlgExpr, Env, Pred as APred, Relation, Scalar};
+use logres_lang::{Atom, BinOp, Builtin, PredArg, Rule, Term};
 use logres_model::{Instance, PredKind, Schema, Sym, TypeDesc, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
-
-use std::sync::Arc;
 
 use crate::error::EngineError;
 
@@ -23,36 +26,6 @@ pub fn pred_type(schema: &Schema, pred: Sym) -> Option<TypeDesc> {
         PredKind::Class => Some(schema.expand(schema.effective(pred)?)),
         PredKind::Assoc => Some(schema.expand(schema.assoc_type(pred)?)),
         _ => None,
-    }
-}
-
-/// A compiled rule set: one algebra expression per intensional predicate,
-/// in dependency order.
-#[derive(Debug, Clone)]
-pub struct CompiledRules {
-    /// `(predicate, expression)` in evaluation order.
-    pub exprs: Vec<(Sym, AlgExpr)>,
-}
-
-impl CompiledRules {
-    /// Evaluate over an extensional instance: binds every association as a
-    /// relation, evaluates the compiled expressions in order, and returns
-    /// the instance extended with the derived tuples.
-    pub fn run(&self, schema: &Schema, edb: &Instance) -> Result<Instance, EngineError> {
-        let mut env = env_from_instance(schema, edb);
-        let mut out = edb.clone();
-        for (pred, expr) in &self.exprs {
-            let rel = eval(expr, &env)?;
-            for t in rel.iter_shared() {
-                out.insert_assoc_shared(*pred, Arc::clone(t));
-            }
-            // Later predicates (and re-binding) see base ∪ derived.
-            let mut combined =
-                relation_of(schema, &out, *pred).ok_or(EngineError::UnknownPredicate(*pred))?;
-            combined.extend_from(&rel);
-            env.bind(*pred, combined);
-        }
-        Ok(out)
     }
 }
 
@@ -76,94 +49,6 @@ pub(crate) fn relation_of(schema: &Schema, inst: &Instance, assoc: Sym) -> Optio
     ))
 }
 
-/// Compile a rule set. Errors with [`EngineError::UnsupportedFragment`]
-/// outside the positive association fragment (negation, classes, data
-/// functions, tuple variables, or mutual recursion between predicates).
-pub fn compile_ruleset(
-    schema: &Schema,
-    rules: &RuleSet,
-    mode: FixpointMode,
-) -> Result<CompiledRules, EngineError> {
-    let idb: FxHashSet<Sym> = rules.rules.iter().map(|r| r.head.target()).collect();
-
-    // Group rules per intensional predicate.
-    let mut by_pred: FxHashMap<Sym, Vec<&Rule>> = FxHashMap::default();
-    for r in &rules.rules {
-        by_pred.entry(r.head.target()).or_default().push(r);
-    }
-
-    // Dependency order among IDB predicates; mutual recursion unsupported.
-    let mut order: Vec<Sym> = Vec::new();
-    let mut preds: Vec<Sym> = by_pred.keys().copied().collect();
-    preds.sort();
-    let deps = |p: Sym| -> Vec<Sym> {
-        let mut out = Vec::new();
-        for r in &by_pred[&p] {
-            for lit in &r.body {
-                if let Atom::Pred { pred, .. } = &lit.atom {
-                    if idb.contains(pred) && *pred != p && !out.contains(pred) {
-                        out.push(*pred);
-                    }
-                }
-            }
-        }
-        out
-    };
-    let mut placed: FxHashSet<Sym> = FxHashSet::default();
-    while order.len() < preds.len() {
-        let before = order.len();
-        for &p in &preds {
-            if placed.contains(&p) {
-                continue;
-            }
-            if deps(p).iter().all(|d| placed.contains(d)) {
-                order.push(p);
-                placed.insert(p);
-            }
-        }
-        if order.len() == before {
-            return Err(EngineError::UnsupportedFragment {
-                detail: "mutually recursive predicates cannot be compiled".to_owned(),
-            });
-        }
-    }
-
-    let mut exprs = Vec::new();
-    for p in order {
-        let mut base: Option<AlgExpr> = None;
-        let mut step: Option<AlgExpr> = None;
-        for r in &by_pred[&p] {
-            let expr = compile_rule(schema, r)?;
-            let recursive = r
-                .body
-                .iter()
-                .any(|lit| matches!(&lit.atom, Atom::Pred { pred, .. } if *pred == p));
-            let slot = if recursive { &mut step } else { &mut base };
-            *slot = Some(match slot.take() {
-                Some(acc) => acc.union(expr),
-                None => expr,
-            });
-        }
-        let expr = match (base, step) {
-            (Some(b), Some(s)) => AlgExpr::Fixpoint {
-                rec: p,
-                base: Box::new(b),
-                step: Box::new(s),
-                mode,
-            },
-            (Some(b), None) => b,
-            (None, Some(_)) => {
-                return Err(EngineError::UnsupportedFragment {
-                    detail: format!("recursive predicate `{p}` has no base rule"),
-                })
-            }
-            (None, None) => unreachable!("predicate without rules"),
-        };
-        exprs.push((p, expr));
-    }
-    Ok(CompiledRules { exprs })
-}
-
 /// Column name carrying a rule variable.
 fn var_col(v: Sym) -> Sym {
     Sym::new(&format!("?{v}"))
@@ -184,18 +69,6 @@ pub struct FlowHints {
     /// total (the probe side's values provably lie inside the guard's exact
     /// stored column): the reducer may be dropped entirely.
     pub skip: std::collections::BTreeSet<usize>,
-}
-
-fn compile_rule(schema: &Schema, rule: &Rule) -> Result<AlgExpr, EngineError> {
-    compile_rule_plan(schema, rule, None)
-}
-
-pub(crate) fn compile_rule_plan(
-    schema: &Schema,
-    rule: &Rule,
-    delta: Option<(usize, Sym)>,
-) -> Result<AlgExpr, EngineError> {
-    compile_rule_plan_with(schema, rule, delta, None, &mut Vec::new())
 }
 
 /// Compile one rule body to a select–join–project plan.
@@ -257,11 +130,6 @@ pub(crate) fn compile_rule_plan_with(
                         return Err(unsupported(format!(
                             "negated class literal `{pred}` cannot be compiled"
                         )));
-                    }
-                    if *pred == *head_pred {
-                        return Err(unsupported(
-                            "negation of the rule's own head predicate cannot be compiled".into(),
-                        ));
                     }
                     negations.push((*pred, args));
                     continue;
@@ -526,7 +394,9 @@ mod tests {
     use super::*;
     use crate::inflationary::{evaluate_inflationary, EvalOptions};
     use crate::load::load_facts;
-    use logres_lang::parse_program;
+    use crate::plan::{compile_program, run_compiled, CompiledProgram};
+    use crate::stratified::Semantics;
+    use logres_lang::{parse_program, RuleSet};
     use logres_model::OidGen;
 
     fn setup(src: &str) -> (Schema, Instance, RuleSet) {
@@ -537,34 +407,23 @@ mod tests {
         (p.schema, edb, p.rules)
     }
 
-    const TC: &str = r#"
-        associations
-          e  = (a: integer, b: integer);
-          tc = (a: integer, b: integer);
-        facts
-          e(a: 1, b: 2).
-          e(a: 2, b: 3).
-          e(a: 3, b: 4).
-          e(a: 4, b: 5).
-        rules
-          tc(a: X, b: Y) <- e(a: X, b: Y).
-          tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
-    "#;
+    fn lower(schema: &Schema, rules: &RuleSet) -> CompiledProgram {
+        compile_program(schema, rules, Semantics::Stratified).expect("compiles")
+    }
 
-    #[test]
-    fn compiled_closure_matches_interpreter_in_both_modes() {
-        let (schema, edb, rules) = setup(TC);
-        let (interp, _) =
-            evaluate_inflationary(&schema, &rules, &edb, EvalOptions::default()).unwrap();
-        for mode in [FixpointMode::Naive, FixpointMode::Delta] {
-            let compiled = compile_ruleset(&schema, &rules, mode).unwrap();
-            let out = compiled.run(&schema, &edb).unwrap();
-            let tc = Sym::new("tc");
-            assert_eq!(out.assoc_len(tc), interp.assoc_len(tc), "{mode:?}");
-            for t in interp.tuples_of(tc) {
-                assert!(out.has_tuple(tc, t), "{mode:?} missing {t}");
-            }
+    /// Run the lowered plans, and on negation-free programs check them
+    /// tuple for tuple against the inflationary interpreter.
+    fn run_plans(schema: &Schema, edb: &Instance, rules: &RuleSet) -> Instance {
+        let program = lower(schema, rules);
+        let (out, _) =
+            run_compiled(schema, &program, rules, edb, &EvalOptions::default()).expect("runs");
+        let negated = rules.rules.iter().any(|r| r.body.iter().any(|l| l.negated));
+        if !negated {
+            let (oracle, _) =
+                evaluate_inflationary(schema, rules, edb, EvalOptions::default()).unwrap();
+            assert_eq!(out, oracle, "compiled plans diverge from the interpreter");
         }
+        out
     }
 
     #[test]
@@ -582,8 +441,7 @@ mod tests {
               big(a: X, b: Y) <- e(a: X, b: Y), Y >= 10, X = 1.
         "#,
         );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        let out = run_plans(&schema, &edb, &rules);
         assert_eq!(out.assoc_len(Sym::new("big")), 1);
         assert!(out.has_tuple(
             Sym::new("big"),
@@ -604,8 +462,7 @@ mod tests {
               inc(v: X, w: Y) <- n(v: X), Y = X + 1.
         "#,
         );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        let out = run_plans(&schema, &edb, &rules);
         assert!(out.has_tuple(
             Sym::new("inc"),
             &Value::tuple([("v", Value::Int(3)), ("w", Value::Int(4))])
@@ -626,8 +483,7 @@ mod tests {
               loop_t(a: X) <- e(a: X, b: X).
         "#,
         );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        let out = run_plans(&schema, &edb, &rules);
         assert_eq!(out.assoc_len(Sym::new("loop_t")), 1);
     }
 
@@ -651,19 +507,25 @@ mod tests {
               isolated(n: X) <- node(n: X), not covered(n: X).
         "#,
         );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        let program = lower(&schema, &rules);
+        let isolated = program
+            .strata
+            .iter()
+            .flat_map(|s| &s.steps)
+            .find(|step| step.head == Sym::new("isolated"))
+            .expect("isolated rule lowered");
+        let plan = format!("{:?}", isolated.full);
+        assert!(plan.contains("AntiJoin"), "expected an antijoin in {plan}");
+        let out = run_plans(&schema, &edb, &rules);
         // The perfect model: only node 3 is isolated.
         assert_eq!(out.assoc_len(Sym::new("isolated")), 1);
         assert!(out.has_tuple(Sym::new("isolated"), &Value::tuple([("n", Value::Int(3))])));
-        // Agrees with the stratified interpreter.
+        // Agrees with the stratified interpreter (the inflationary one
+        // applies `not` eagerly and computes a different model here).
         let (interp, _) =
             crate::stratified::evaluate_stratified(&schema, &rules, &edb, EvalOptions::default())
                 .unwrap();
-        assert_eq!(
-            out.assoc_len(Sym::new("isolated")),
-            interp.assoc_len(Sym::new("isolated"))
-        );
+        assert_eq!(out, interp);
     }
 
     #[test]
@@ -680,15 +542,18 @@ mod tests {
               q(d: X) <- p(d: X), not p(d: 99).
         "#,
         );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        let out = run_plans(&schema, &edb, &rules);
         // p(99) is absent, so the guard passes and everything copies.
         assert_eq!(out.assoc_len(Sym::new("q")), 2);
+        // `p` is extensional, so eager negation changes nothing.
+        let (oracle, _) =
+            evaluate_inflationary(&schema, &rules, &edb, EvalOptions::default()).unwrap();
+        assert_eq!(out, oracle);
     }
 
     #[test]
     fn out_of_fragment_constructs_are_rejected() {
-        for (src, needle) in [
+        for (src, reason, needle) in [
             (
                 r#"
                 associations
@@ -697,7 +562,8 @@ mod tests {
                 rules
                   q(d: X) <- p(d: X), not q(d: X).
                 "#,
-                "own head",
+                "unstratifiable",
+                "negation through recursion",
             ),
             (
                 r#"
@@ -708,17 +574,14 @@ mod tests {
                 rules
                   p(d: X) <- c(n: X).
                 "#,
+                "fragment",
                 "class literal",
             ),
         ] {
             let p = parse_program(src).unwrap();
-            let err = compile_ruleset(&p.schema, &p.rules, FixpointMode::Naive).unwrap_err();
-            match err {
-                EngineError::UnsupportedFragment { detail } => {
-                    assert!(detail.contains(needle), "{detail} vs {needle}")
-                }
-                other => panic!("expected UnsupportedFragment, got {other}"),
-            }
+            let err = compile_program(&p.schema, &p.rules, Semantics::Stratified).unwrap_err();
+            assert_eq!(err.reason, reason, "{}", err.detail);
+            assert!(err.detail.contains(needle), "{} vs {needle}", err.detail);
         }
     }
 
@@ -737,11 +600,17 @@ mod tests {
               p1(a: X, b: Y) <- e(a: X, b: Y).
         "#,
         );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        // p1 must come before p2 regardless of rule order.
-        let order: Vec<Sym> = compiled.exprs.iter().map(|(p, _)| *p).collect();
-        assert_eq!(order, vec![Sym::new("p1"), Sym::new("p2")]);
-        let out = compiled.run(&schema, &edb).unwrap();
+        // p2's rule comes first, so it must read p1 through a delta plan
+        // that a later round evaluates once p1 has tuples.
+        let program = lower(&schema, &rules);
+        let p2 = program
+            .strata
+            .iter()
+            .flat_map(|s| &s.steps)
+            .find(|step| step.head == Sym::new("p2"))
+            .expect("p2 rule lowered");
+        assert_eq!(p2.deltas.len(), 1, "p2 reads p1 through one delta plan");
+        let out = run_plans(&schema, &edb, &rules);
         assert_eq!(out.assoc_len(Sym::new("p2")), 1);
     }
 }

@@ -20,7 +20,7 @@
 //!   `F' = ((F ⊕ Δ⁺) − Δ⁻) ⊕ (F ∩ Δ⁺ ∩ Δ⁻)` with the non-commutative,
 //!   right-biased composition `⊕`;
 //! * the fixpoint `F⁰ = E, …, Fᵏ = Fᵏ⁺¹` — whose existence is *not*
-//!   guaranteed (and not decidable, [AbSi89]), so drivers carry fuel limits.
+//!   guaranteed (and not decidable, \[AbSi89\]), so drivers carry fuel limits.
 //!
 //! On top of the faithful semantics the crate provides the machinery the
 //! paper attributes to the surrounding system:
@@ -31,9 +31,11 @@
 //!   a stratified program yields the perfect model semantics" — §3.1),
 //!   falling back to whole-program inflationary evaluation when the program
 //!   is unstratifiable;
-//! * a **compiler** from the positive, function-free association fragment to
-//!   `algres` fixpoint expressions, mirroring the prototype translation of
-//!   [Ca90];
+//! * a **compiled path** that lowers the positive, function-free association
+//!   fragment plus stratified negation to `algres` select–join–project
+//!   plans, mirroring the prototype translation of \[Ca90\], and drives the
+//!   semi-naive rounds of each stratum over one caching `algres::Evaluator`
+//!   session ([`plan`]);
 //! * goal answering and extensional fact loading.
 
 pub mod binding;
@@ -58,8 +60,7 @@ pub mod stratified;
 pub mod trace;
 
 pub use binding::{Binding, Subst, SELF_LABEL};
-pub use compile::FlowHints;
-pub use compile::{compile_ruleset, env_from_instance, CompiledRules};
+pub use compile::{env_from_instance, FlowHints};
 pub use delta::{DeltaSets, OneStep};
 pub use error::EngineError;
 pub use explain::{

@@ -12,7 +12,7 @@
 //!
 //! * **non-recursive strata — counting-style recount.** Every fact whose
 //!   support may have changed is re-checked for *some* derivation by
-//!   inverting each rule head against the fact's tuple ([`bind_head`]) and
+//!   inverting each rule head against the fact's tuple (`bind_head`) and
 //!   evaluating the body over the current instance. Facts with no remaining
 //!   derivation (and no extensional backing) are removed and their
 //!   dependents pended into later strata.

@@ -6,7 +6,7 @@
 //! literals once all their variables are bound. A negated literal whose
 //! variables never become bound is evaluated last by enumerating the
 //! **active domain** of the variable's type (Section 2.1: "variables which
-//! are only present in negated literals [are] restricted to their current
+//! are only present in negated literals \[are\] restricted to their current
 //! active domain").
 
 use std::fmt;

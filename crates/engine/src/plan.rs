@@ -2,16 +2,17 @@
 //!
 //! The paper's prototype runs LOGRES by *translation*: rules become extended
 //! relational algebra and the ALGRES machine evaluates them set-at-a-time
-//! (Section 5, [Ca90]). This module is that translation for the production
+//! (Section 5, \[Ca90\]). This module is that translation for the production
 //! engine. [`compile_program`] stratifies a rule set, lowers every rule body
-//! to a select–join–project plan via [`crate::compile::compile_rule_plan`]
+//! to a select–join–project plan via `compile::compile_rule_plan_with`
 //! (constants → selections, builtins → selections/extends, stratified
 //! negation → antijoins, already-bound literals such as magic-set `@magic_*`
 //! guards → semijoin reducers), derives the semi-naive *delta* variants of
 //! each recursive rule, and runs selection pushdown from `algres::optimize`
-//! over every plan. [`try_evaluate_compiled`] then executes the strata
-//! bottom-up with a caching [`algres::Evaluator`] whose join hash tables and
-//! memoized stable sub-plans persist across fixpoint rounds.
+//! over every plan. [`run_compiled`] is the engine's one recursion driver
+//! over algebra: it executes the strata bottom-up, each as semi-naive delta
+//! rounds over one caching [`algres::Evaluator`] session whose join hash
+//! tables and memoized stable sub-plans persist across rounds.
 //!
 //! Programs outside the fragment fall back to the tuple-at-a-time
 //! interpreter, counted under `logres_compile_fallbacks_total{reason=…}`
@@ -592,7 +593,6 @@ pub fn run_compiled(
             }
         }
         let s = ev.stats();
-        plan_stats.rounds += s.rounds;
         plan_stats.hash_builds += s.hash_builds;
         plan_stats.probes += s.probes;
         plan_stats.memo_hits += s.memo_hits;

@@ -19,7 +19,7 @@
 //! overflow checking, and stratified negation is the identity (sound for an
 //! over-approximation: `not p` never adds values). The per-SCC fixpoint
 //! widens growing interval bounds to unknown and oversized constant sets to
-//! ⊤ after [`WIDEN_AFTER`] rounds, which bounds the chain height and makes
+//! ⊤ after `WIDEN_AFTER` rounds, which bounds the chain height and makes
 //! termination immediate; growth events inside a cyclic SCC are recorded for
 //! L011.
 //!
@@ -283,7 +283,7 @@ impl ConstSet {
         }
     }
 
-    /// Least upper bound: union, widened to ⊤ past [`EXACT_CAP`].
+    /// Least upper bound: union, widened to ⊤ past `EXACT_CAP`.
     pub fn join(&self, other: &ConstSet) -> ConstSet {
         match (self, other) {
             (ConstSet::Top, _) | (_, ConstSet::Top) => ConstSet::Top,
@@ -1506,7 +1506,7 @@ fn head_contribution(schema: &Schema, rule: &Rule, rf: &RuleFlow) -> (BTreeMap<S
     (args, rf.card)
 }
 
-/// Widening: a bound that is still moving after [`WIDEN_AFTER`] rounds is
+/// Widening: a bound that is still moving after `WIDEN_AFTER` rounds is
 /// thrown to unknown (and recorded as *grown* inside a cyclic SCC — the
 /// L011 signal); a constant set that outgrew [`CONST_CAP`] becomes ⊤.
 fn widen(

@@ -15,7 +15,7 @@
 //! * a rule with a negative (deleting) head adds *strict* edges from every
 //!   body predicate to the deleted predicate.
 //!
-//! [`crate::stratify`] layers the graph's condensation into strata;
+//! [`crate::stratify`](mod@crate::stratify) layers the graph's condensation into strata;
 //! [`crate::analyze`] walks the same graph for reachability, dead-code, and
 //! non-termination lints, so the two analyses can never disagree about what
 //! depends on what.

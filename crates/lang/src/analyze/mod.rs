@@ -4,7 +4,7 @@
 //! The per-rule checks of Section 3.1 (strong typing, safety) reject
 //! programs; this module adds *program-level* warnings on top of them, all
 //! computed from one shared predicate-dependency graph ([`graph::DepGraph`],
-//! also used by [`crate::stratify`]):
+//! also used by [`crate::stratify`](mod@crate::stratify)):
 //!
 //! * **L001** — a positive body predicate that no rule derives and no fact
 //!   declares: the rule can never fire;

@@ -1,17 +1,16 @@
 //! Cross-engine agreement: the inflationary interpreter, the semi-naive
-//! evaluator, and the ALGRES-compiled path (in both fixpoint modes) must
-//! compute identical fact sets on the shared fragment — and all must match
-//! an independent graph-algorithm reference. The production dispatcher's
+//! evaluator, and the ALGRES-compiled plans must compute identical fact sets
+//! on the shared fragment — and all must match an independent
+//! graph-algorithm reference. The production dispatcher's
 //! compiled fast path (`EvalOptions::compiled`) is held to the same
 //! standard: bit-identical instances against the interpreted oracle at
 //! every thread count, with every fallback accounted for by reason.
 
 use std::sync::Arc;
 
-use algres::FixpointMode;
 use logres::engine::{
-    compile_program, compile_ruleset, evaluate, evaluate_inflationary, evaluate_seminaive,
-    load_facts, EvalOptions, MetricsRegistry, Semantics,
+    compile_program, evaluate, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
+    EvalOptions, MetricsRegistry, Semantics,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen, Sym, Value};
@@ -55,22 +54,23 @@ fn closure_with_all_engines(edges: &[(i64, i64)]) {
     let (par_semi, _) = evaluate_seminaive(&program.schema, &program.rules, &edb, par_opts)
         .expect("parallel semi-naive");
     assert_eq!(par_semi, semi, "parallel semi-naive diverged from serial");
-    let naive_compiled = compile_ruleset(&program.schema, &program.rules, FixpointMode::Naive)
-        .expect("compiles")
-        .run(&program.schema, &edb)
-        .expect("compiled naive runs");
-    let delta_compiled = compile_ruleset(&program.schema, &program.rules, FixpointMode::Delta)
-        .expect("compiles")
-        .run(&program.schema, &edb)
-        .expect("compiled delta runs");
+    let plans = compile_program(&program.schema, &program.rules, Semantics::Inflationary)
+        .expect("compiles");
+    let (compiled, _) = run_compiled(
+        &program.schema,
+        &plans,
+        &program.rules,
+        &edb,
+        &EvalOptions::default(),
+    )
+    .expect("compiled plans run");
 
     let reference = reference_closure(edges);
     let tc = Sym::new("tc");
     for (name, inst) in [
         ("interpreter", &interp),
         ("semi-naive", &semi),
-        ("compiled-naive", &naive_compiled),
-        ("compiled-delta", &delta_compiled),
+        ("compiled", &compiled),
     ] {
         assert_eq!(
             inst.assoc_len(tc),
